@@ -36,6 +36,16 @@ class LinkFaultChannel {
   }
 
   bool active() const { return !windows_.empty(); }
+
+  /// True iff some window covers time `t`. When false, Scale(·, ·, t) is
+  /// exactly 1.0 for every link, so a caller may skip scaling a whole
+  /// frame's worth of links with one check.
+  bool ActiveAt(SimTime t) const {
+    for (const Window& w : windows_) {
+      if (t >= w.start && t < w.end) return true;
+    }
+    return false;
+  }
   size_t window_count() const { return windows_.size(); }
 
   /// Multiplicative scale for the link from -> to at time `t`. 1.0 when no

@@ -554,8 +554,8 @@ ExperimentResult RunTrial(const ExperimentConfig& config, uint64_t seed) {
         if (ctr != nullptr) *ctr += static_cast<uint64_t>(pkt.WireSize());
       });
   network.set_deliver_observer(
-      [&stats](NodeId dst, const Packet& pkt, bool addressed) {
-        stats.OnDeliver(dst, pkt, addressed);
+      [&stats](NodeId dst, const Packet& pkt, const sim::Reception& rx) {
+        stats.OnDeliver(dst, pkt, rx.addressed, rx.wire_size);
       });
   network.set_drop_observer(
       [&stats](NodeId src, const Packet& pkt, sim::DropReason) { stats.OnDrop(src, pkt); });
@@ -729,8 +729,9 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
       uint64_t* ctr = (*wire)[static_cast<size_t>(pkt.hdr.type)];
       if (ctr != nullptr) *ctr += static_cast<uint64_t>(pkt.WireSize());
     });
-    engine.set_deliver_observer(s, [ms](NodeId dst, const Packet& pkt, bool addressed) {
-      ms->OnDeliver(dst, pkt, addressed);
+    engine.set_deliver_observer(s, [ms](NodeId dst, const Packet& pkt,
+                                        const sim::Reception& rx) {
+      ms->OnDeliver(dst, pkt, rx.addressed, rx.wire_size);
     });
     engine.set_drop_observer(s, [ms](NodeId src, const Packet& pkt, sim::DropReason) {
       ms->OnDrop(src, pkt);

@@ -31,7 +31,9 @@ class MessageStats {
 
   /// Hooks; the harness wires these to the radio.
   void OnTransmit(NodeId src, const Packet& packet, bool retransmission);
-  void OnDeliver(NodeId dst, const Packet& packet, bool addressed);
+  /// `wire_bytes` is packet.WireSize(), which the radio computes once per
+  /// frame rather than once per receiver.
+  void OnDeliver(NodeId dst, const Packet& packet, bool addressed, int wire_bytes);
   void OnDrop(NodeId src, const Packet& packet);
 
   const TypeCounters& ByType(PacketType type) const {

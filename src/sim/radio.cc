@@ -1,7 +1,6 @@
 #include "sim/radio.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
@@ -9,43 +8,14 @@ namespace scoop::sim {
 
 Radio::Radio(const Topology* topology, const RadioOptions& options, EventQueue* queue,
              uint64_t seed)
-    : topology_(topology),
-      options_(options),
+    : options_(options),
       queue_(queue),
       rng_(MixSeed(seed, /*entity_id=*/0xAD10), /*stream=*/0xAD10),
       mac_(static_cast<size_t>(topology->num_nodes())),
       alive_(static_cast<size_t>(topology->num_nodes()), true),
-      active_tx_(topology->num_nodes()),
-      node_tx_(static_cast<size_t>(topology->num_nodes())) {
-  SCOOP_CHECK(topology != nullptr);
+      link_(topology, options, Airtime(options.max_packet_bytes)),
+      active_tx_(topology->num_nodes()) {
   SCOOP_CHECK(queue != nullptr);
-  max_airtime_ = Airtime(options_.max_packet_bytes);
-  // The topology precomputes interferer sets at its default threshold; a
-  // radio configured with a different threshold builds matching sets once
-  // here. Either way the hot path reads one resolved pointer.
-  if (options_.interference_threshold == Topology::kInterferenceThreshold) {
-    interferers_ = &topology->interferer_sets();
-  } else {
-    own_interferers_ = topology->BuildInterfererSets(options_.interference_threshold);
-    interferers_ = &own_interferers_;
-  }
-  // Geometric collision prefilter: an interferer must be within audible
-  // range of a receiver, and every receiver is within audible range of
-  // the sender, so only transmitters within twice the longest audible
-  // link can corrupt any reception of this frame (interferer sets are
-  // subsets of the audible sets). Computed once over the CSR links;
-  // conservative, so verdicts are unchanged.
-  double max_d2 = 0;
-  for (NodeId i = 0; i < topology->num_nodes(); ++i) {
-    const Point& a = topology->position(i);
-    for (const Topology::Link& link : topology->audible_from(i)) {
-      const Point& b = topology->position(link.to);
-      double dx = a.x - b.x;
-      double dy = a.y - b.y;
-      max_d2 = std::max(max_d2, dx * dx + dy * dy);
-    }
-  }
-  collide_range2_ = 4.0 * max_d2;  // (2 * max audible distance)^2.
 }
 
 void Radio::EnableObservability(obs::TraceSink* trace,
@@ -105,17 +75,19 @@ SimTime Radio::BackoffWindow(const RadioOptions& options, int attempt) {
 
 void Radio::Send(NodeId src, Packet pkt) {
   SCOOP_CHECK_LT(src, mac_.size());
-  SCOOP_CHECK_LE(pkt.WireSize(), options_.max_packet_bytes);
+  const int wire_size = pkt.WireSize();
+  SCOOP_CHECK_LE(wire_size, options_.max_packet_bytes);
   if (!alive_[src]) return;  // Dead radios transmit nothing.
   obs::ScopedBucket bucket(profiler_, obs::SimProfiler::kRadio);
   if (trace_ != nullptr) {
     trace_->Instant(queue_->now(), "originate", obs::TraceCat::kPacket, src,
                     "type", static_cast<uint64_t>(pkt.hdr.type), "bytes",
-                    static_cast<uint64_t>(pkt.WireSize()));
+                    static_cast<uint64_t>(wire_size));
   }
   pkt.hdr.link_src = src;
   OutFrame frame;
-  frame.airtime = Airtime(pkt.WireSize());
+  frame.wire_size = wire_size;
+  frame.airtime = Airtime(wire_size);
   frame.pkt = std::move(pkt);
   frame.retries_left =
       (frame.pkt.hdr.link_dst == kBroadcastId) ? 0 : options_.unicast_retries;
@@ -137,71 +109,11 @@ bool Radio::ChannelBusy(NodeId node) const {
   SimTime now = queue_->now();
   // Our own latest transmission (only the most recent can still be on the
   // air -- a node's transmissions are serial).
-  if (node_tx_[node][0].end > now) return true;
+  if (link_.spans(node)[0].end > now) return true;
   // Audible foreign transmissions: only active transmitters that are in
   // this node's interferer set can trip carrier sense.
-  const InterfererSet& audible = (*interferers_)[node];
-  return audible.AnyActive(active_tx_,
-                           [&](NodeId a) { return node_tx_[a][0].end > now; });
-}
-
-void Radio::CollectInterferers(NodeId sender, SimTime start, SimTime end) {
-  collide_scratch_.clear();
-  if (!options_.model_collisions) return;
-  // Ring entries are in start order; anything whose start is more than one
-  // max airtime before the window cannot reach into it. The window scan
-  // runs once per completion -- per receiver only the (usually empty)
-  // overlap list is consulted.
-  const Point& s = topology_->position(sender);
-  for (size_t i = ring_.size(); i-- > ring_head_;) {
-    const Transmission& tx = ring_[i];
-    if (tx.start + max_airtime_ <= start) break;
-    if (tx.src == sender) continue;
-    if (tx.end <= start || tx.start >= end) continue;  // No time overlap.
-    const Point& p = topology_->position(tx.src);
-    double dx = s.x - p.x;
-    double dy = s.y - p.y;
-    if (dx * dx + dy * dy > collide_range2_) continue;  // Too far to matter.
-    collide_scratch_.push_back(tx.src);
-  }
-}
-
-bool Radio::Collided(NodeId receiver, NodeId sender) const {
-  double signal = topology_->delivery_prob(sender, receiver);
-  const InterfererSet& audible = (*interferers_)[receiver];
-  for (NodeId isrc : collide_scratch_) {
-    if (isrc == receiver) continue;
-    if (!audible.Test(isrc)) continue;  // Too weak to interfere.
-    double interference = topology_->delivery_prob(isrc, receiver);
-    // Capture: a clearly stronger signal survives a weak interferer.
-    if (interference >= options_.capture_ratio * signal) return true;
-  }
-  return false;
-}
-
-bool Radio::WasTransmitting(NodeId node, SimTime start, SimTime end) const {
-  // A node's transmissions are serial, so of all its frames only the most
-  // recent one starting before `end` can overlap [start, end] -- and at
-  // most one newer frame can share the window's end instant. Both live in
-  // node_tx_.
-  for (const TxSpan& t : node_tx_[node]) {
-    if (t.start < end && t.end > start) return true;
-  }
-  return false;
-}
-
-void Radio::PruneRing() {
-  // Anything that started more than five max-length frames ago can no
-  // longer overlap a transmission still in flight.
-  SimTime horizon = queue_->now() - 4 * max_airtime_;
-  while (ring_head_ < ring_.size() && ring_[ring_head_].start + max_airtime_ < horizon) {
-    ++ring_head_;
-  }
-  // Amortized O(1): drop the dead prefix once it dominates the buffer.
-  if (ring_head_ >= 64 && ring_head_ * 2 >= ring_.size()) {
-    ring_.erase(ring_.begin(), ring_.begin() + static_cast<ptrdiff_t>(ring_head_));
-    ring_head_ = 0;
-  }
+  return link_.interferers(node).AnyActive(
+      active_tx_, [&](NodeId a) { return link_.spans(a)[0].end > now; });
 }
 
 void Radio::TryStart(NodeId src) {
@@ -263,9 +175,7 @@ void Radio::TryStart(NodeId src) {
                  "type", static_cast<uint64_t>(frame.pkt.hdr.type), "seq",
                  static_cast<uint64_t>(frame.pkt.hdr.seq));
   }
-  ring_.push_back(Transmission{src, start, end});
-  node_tx_[src][1] = node_tx_[src][0];
-  node_tx_[src][0] = TxSpan{start, end};
+  link_.Record(src, start, end);
   active_tx_.Set(src);
   mac.transmitting = true;
   uint32_t gen = ++mac.tx_gen;
@@ -294,38 +204,30 @@ void Radio::FinishTx(NodeId src, SimTime start, SimTime end, uint32_t gen) {
   OutFrame& frame = mac.queue.front();
   const Packet& pkt = frame.pkt;
   NodeId dst = pkt.hdr.link_dst;
-  bool dst_received = false;
 
-  // Only the sender's audible out-neighbors can receive; the CSR list
-  // visits them in ascending id, exactly the order (and with exactly the
-  // Bernoulli draws) the dense matrix walk used.
-  // Fault windows scale link probabilities; the draw below still happens
-  // for every audible link (even at probability 0), so an inactive channel
-  // consumes the shared RNG stream exactly as a fault-free build does.
-  // Windows are evaluated at the transmission end (= delivery instant).
-  bool faulted = fault_ != nullptr && fault_->active();
-  CollectInterferers(src, start, end);
-  const bool maybe_collided = !collide_scratch_.empty();
-  for (const Topology::Link& link : topology_->audible_from(src)) {
-    NodeId r = link.to;
-    if (!alive_[r]) continue;  // Dead radios hear nothing.
-    double p = link.prob;
-    if (faulted) p *= fault_->Scale(src, r, end);
-    if (!rng_.Bernoulli(p)) continue;                   // Link loss.
-    if (WasTransmitting(r, start, end)) continue;       // Half duplex.
-    if (maybe_collided && Collided(r, src)) continue;   // Corrupted.
-    bool addressed = (dst == kBroadcastId) || (dst == r);
-    if (dst == r) dst_received = true;
-    if (ctr_deliveries_ != nullptr) ++*ctr_deliveries_;
-    // Trace addressed receptions only; snoops are counted, not traced,
-    // to bound trace volume in dense neighborhoods.
-    if (trace_ != nullptr && addressed) {
-      trace_->Instant(end, "deliver", obs::TraceCat::kPacket, r, "src",
-                      static_cast<uint64_t>(src), "type",
-                      static_cast<uint64_t>(pkt.hdr.type));
-    }
-    if (deliver_hook_) deliver_hook_(r, pkt, addressed);
-  }
+  // Only the sender's audible out-neighbors can receive, visited in
+  // ascending id with one Bernoulli draw each from the shared stream.
+  // Fault windows scale link probabilities without adding or removing
+  // draws; they are evaluated at the transmission end (= delivery
+  // instant), and a channel with no window open then is skipped for the
+  // whole frame.
+  const fault::LinkFaultChannel* fault =
+      (fault_ != nullptr && fault_->ActiveAt(end)) ? fault_ : nullptr;
+  WalkFrame walk{src, dst, pkt.hdr.seq, start, end, frame.wire_size};
+  bool dst_received = link_.Walk(
+      walk, fault, [this](NodeId r) { return static_cast<bool>(alive_[r]); },
+      [this](NodeId, double p) { return rng_.Bernoulli(p); },
+      [&](NodeId r, const Reception& rx) {
+        if (ctr_deliveries_ != nullptr) ++*ctr_deliveries_;
+        // Trace addressed receptions only; snoops are counted, not traced,
+        // to bound trace volume in dense neighborhoods.
+        if (trace_ != nullptr && rx.addressed) {
+          trace_->Instant(end, "deliver", obs::TraceCat::kPacket, r, "src",
+                          static_cast<uint64_t>(src), "type",
+                          static_cast<uint64_t>(pkt.hdr.type));
+        }
+        if (deliver_hook_) deliver_hook_(r, pkt, rx);
+      });
 
   if (dst == kBroadcastId) {
     Packet sent = std::move(mac.queue.front().pkt);
@@ -335,9 +237,8 @@ void Radio::FinishTx(NodeId src, SimTime start, SimTime end, uint32_t gen) {
     // Link-layer ACK: modeled as a Bernoulli trial over the reverse link,
     // boosted because ACK frames are tiny (fewer bits at risk). We neither
     // charge airtime nor count ACKs as messages, matching mote link ACKs.
-    double p_ack = std::pow(topology_->delivery_prob(dst, src),
-                            options_.ack_shortness_exponent);
-    if (faulted) p_ack *= fault_->Scale(dst, src, end);  // Reverse link.
+    double p_ack = link_.AckProb(src, dst);
+    if (fault != nullptr) p_ack *= fault->Scale(dst, src, end);  // Reverse link.
     bool acked = dst_received && rng_.Bernoulli(p_ack);
     if (acked) {
       Packet sent = std::move(mac.queue.front().pkt);
@@ -360,7 +261,7 @@ void Radio::FinishTx(NodeId src, SimTime start, SimTime end, uint32_t gen) {
     }
   }
 
-  PruneRing();
+  link_.Prune(queue_->now());
   TryStart(src);
 }
 

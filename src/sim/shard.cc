@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "common/check.h"
 
@@ -168,18 +167,10 @@ ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
       ack_key_(MixSeed(seed, /*entity_id=*/0xACDC)),
       mac_(static_cast<size_t>(topology->num_nodes())),
       alive_(static_cast<size_t>(topology->num_nodes()), true),
-      active_tx_(topology->num_nodes()),
-      node_tx_(static_cast<size_t>(topology->num_nodes())) {
-  SCOOP_CHECK(topology != nullptr);
+      link_(topology, options, Airtime(options.max_packet_bytes)),
+      active_tx_(topology->num_nodes()) {
   SCOOP_CHECK(queue != nullptr);
   SCOOP_CHECK(owner != nullptr);
-  max_airtime_ = Airtime(options_.max_packet_bytes);
-  if (options_.interference_threshold == Topology::kInterferenceThreshold) {
-    interferers_ = &topology->interferer_sets();
-  } else {
-    own_interferers_ = topology->BuildInterfererSets(options_.interference_threshold);
-    interferers_ = &own_interferers_;
-  }
   // Per-node backoff streams: draws depend only on the node's own attempt
   // sequence, which is identical for every partitioning.
   uint64_t backoff_key = MixSeed(seed, /*entity_id=*/0xAD10);
@@ -187,18 +178,6 @@ ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
   for (NodeId u = 0; u < topology->num_nodes(); ++u) {
     mac_rng_.emplace_back(MixSeed(backoff_key, u), /*stream=*/u);
   }
-  // Geometric collision prefilter (see Radio's collide_range2_).
-  double max_d2 = 0;
-  for (NodeId i = 0; i < topology->num_nodes(); ++i) {
-    const Point& a = topology->position(i);
-    for (const Topology::Link& link : topology->audible_from(i)) {
-      const Point& b = topology->position(link.to);
-      double dx = a.x - b.x;
-      double dy = a.y - b.y;
-      max_d2 = std::max(max_d2, dx * dx + dy * dy);
-    }
-  }
-  collide_range2_ = 4.0 * max_d2;
 }
 
 void ShardRadio::EnableObservability(obs::TraceSink* trace,
@@ -227,18 +206,20 @@ SimTime ShardRadio::Airtime(int wire_size) const {
 
 void ShardRadio::Send(NodeId src, Packet pkt) {
   SCOOP_CHECK_LT(src, mac_.size());
-  SCOOP_CHECK_LE(pkt.WireSize(), options_.max_packet_bytes);
+  const int wire_size = pkt.WireSize();
+  SCOOP_CHECK_LE(wire_size, options_.max_packet_bytes);
   SCOOP_DCHECK(Owned(src));
   if (!alive_[src]) return;  // Dead radios transmit nothing.
   obs::ScopedBucket bucket(profiler_, obs::SimProfiler::kRadio);
   if (trace_ != nullptr) {
     trace_->Instant(queue_->now(), "originate", obs::TraceCat::kPacket, src,
                     "type", static_cast<uint64_t>(pkt.hdr.type), "bytes",
-                    static_cast<uint64_t>(pkt.WireSize()));
+                    static_cast<uint64_t>(wire_size));
   }
   pkt.hdr.link_src = src;
   OutFrame frame;
-  frame.airtime = Airtime(pkt.WireSize());
+  frame.wire_size = wire_size;
+  frame.airtime = Airtime(wire_size);
   frame.pkt = std::move(pkt);
   frame.retries_left =
       (frame.pkt.hdr.link_dst == kBroadcastId) ? 0 : options_.unicast_retries;
@@ -285,80 +266,16 @@ bool ShardRadio::ChannelBusy(NodeId node) const {
   // instant is not guaranteed -- excluding it uniformly keeps every K
   // identical), and local spans always have start <= now, so the extra
   // predicate only removes the same-instant case.
-  const TxSpan& own = node_tx_[node][0];
+  const LinkLayer::TxSpan& own = link_.spans(node)[0];
   if (own.start < now && own.end > now) return true;
-  const InterfererSet& audible = (*interferers_)[node];
-  return audible.AnyActive(active_tx_, [&](NodeId a) {
+  return link_.interferers(node).AnyActive(active_tx_, [&](NodeId a) {
     // Mirrored nodes can hold a future-start span in [0] while an earlier
     // one is still on the air in [1]; check both.
-    for (const TxSpan& t : node_tx_[a]) {
+    for (const LinkLayer::TxSpan& t : link_.spans(a)) {
       if (t.start < now && t.end > now) return true;
     }
     return false;
   });
-}
-
-void ShardRadio::CollectInterferers(NodeId sender, SimTime start, SimTime end) {
-  collide_scratch_.clear();
-  if (!options_.model_collisions) return;
-  // One ring walk per evaluation, shared by every receiver (see
-  // Radio::CollectInterferers): only transmissions actually overlapping
-  // the window survive into the per-receiver check.
-  const Point& s = topology_->position(sender);
-  for (size_t i = ring_.size(); i-- > ring_head_;) {
-    const Transmission& tx = ring_[i];
-    if (tx.start + max_airtime_ <= start) break;
-    if (tx.src == sender) continue;
-    if (tx.end <= start || tx.start >= end) continue;  // No time overlap.
-    const Point& p = topology_->position(tx.src);
-    double dx = s.x - p.x;
-    double dy = s.y - p.y;
-    if (dx * dx + dy * dy > collide_range2_) continue;  // Too far to matter.
-    collide_scratch_.push_back(tx.src);
-  }
-}
-
-bool ShardRadio::Collided(NodeId receiver, NodeId sender) const {
-  double signal = topology_->delivery_prob(sender, receiver);
-  const InterfererSet& audible = (*interferers_)[receiver];
-  for (NodeId isrc : collide_scratch_) {
-    if (isrc == receiver) continue;
-    if (!audible.Test(isrc)) continue;  // Too weak to interfere.
-    double interference = topology_->delivery_prob(isrc, receiver);
-    if (interference >= options_.capture_ratio * signal) return true;
-  }
-  return false;
-}
-
-bool ShardRadio::WasTransmitting(NodeId node, SimTime start, SimTime end) const {
-  for (const TxSpan& t : node_tx_[node]) {
-    if (t.start < end && t.end > start) return true;
-  }
-  return false;
-}
-
-void ShardRadio::InsertRing(Transmission tx) {
-  // Local transmissions start at now() (monotone), but a boundary
-  // announcement can carry a start behind the newest local entry; insert
-  // from the tail to keep the ring start-ordered for the collision walk.
-  size_t pos = ring_.size();
-  ring_.push_back(tx);
-  while (pos > ring_head_ && ring_[pos - 1].start > tx.start) {
-    ring_[pos] = ring_[pos - 1];
-    --pos;
-  }
-  ring_[pos] = tx;
-}
-
-void ShardRadio::PruneRing() {
-  SimTime horizon = queue_->now() - 4 * max_airtime_;
-  while (ring_head_ < ring_.size() && ring_[ring_head_].start + max_airtime_ < horizon) {
-    ++ring_head_;
-  }
-  if (ring_head_ >= 64 && ring_head_ * 2 >= ring_.size()) {
-    ring_.erase(ring_.begin(), ring_.begin() + static_cast<ptrdiff_t>(ring_head_));
-    ring_head_ = 0;
-  }
 }
 
 void ShardRadio::ScheduleCca(NodeId src, SimTime delay) {
@@ -458,9 +375,7 @@ void ShardRadio::StartTx(NodeId src) {
                  "type", static_cast<uint64_t>(frame.pkt.hdr.type), "seq",
                  static_cast<uint64_t>(frame.pkt.hdr.seq));
   }
-  InsertRing(Transmission{src, start, end});
-  node_tx_[src][1] = node_tx_[src][0];
-  node_tx_[src][0] = TxSpan{start, end};
+  link_.Record(src, start, end);
   active_tx_.Set(src);
   mac.transmitting = true;
   uint32_t gen = ++mac.tx_gen;
@@ -481,7 +396,8 @@ void ShardRadio::EvalLocal(NodeId src, uint32_t gen, SimTime start, SimTime end)
   // power-down makes it stale here, exactly like the sequential radio's
   // stale FinishTx branch.
   if (gen != mac.tx_gen || !mac.transmitting) return;
-  EvalTx(src, gen, start, end, mac.queue.front().pkt, /*aborted=*/false);
+  const OutFrame& frame = mac.queue.front();
+  EvalTx(src, gen, start, end, frame.pkt, frame.wire_size);
 }
 
 void ShardRadio::EvalRemote(NodeId src, uint32_t gen) {
@@ -489,59 +405,53 @@ void ShardRadio::EvalRemote(NodeId src, uint32_t gen) {
   auto it = remote_tx_.find(key);
   SCOOP_CHECK(it != remote_tx_.end());
   if (ctr_mirror_evals_ != nullptr) ++*ctr_mirror_evals_;
-  bool aborted = aborted_.erase(key) > 0;
-  EvalTx(src, gen, it->second.start, it->second.end, it->second.pkt, aborted);
+  // An aborted frame's energy stayed on the air (it still collides), but
+  // nobody receives it.
+  if (aborted_.erase(key) == 0) {
+    const RemoteTx& tx = it->second;
+    EvalTx(src, gen, tx.start, tx.end, tx.pkt, tx.wire_size);
+  }
   // Retire the mirror's active bit unless a newer announced span of this
   // node is still (or not yet) on the air.
-  if (node_tx_[src][0].end <= queue_->now()) active_tx_.Clear(src);
+  if (link_.spans(src)[0].end <= queue_->now()) active_tx_.Clear(src);
   remote_tx_.erase(it);
-  PruneRing();
+  link_.Prune(queue_->now());
 }
 
 void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
-                        const Packet& pkt, bool aborted) {
+                        const Packet& pkt, int wire_size) {
   obs::ScopedBucket bucket(profiler_, obs::SimProfiler::kRadio);
   NodeId dst = pkt.hdr.link_dst;
-  bool dst_received = false;
-  if (!aborted) {
-    // Fault windows scale the per-link probability before the keyed draw;
-    // every shard applies the same factor at the same (src, gen, r), so
-    // the verdicts stay identical under any K-way partition. Evaluated at
-    // the transmission end (= delivery instant), matching Radio::FinishTx.
-    bool faulted = fault_ != nullptr && fault_->active();
-    CollectInterferers(src, start, end);
-    const bool maybe_collided = !collide_scratch_.empty();
-    // Walk the sender's audible out-neighbors in ascending id, but only
-    // deliver to receivers this shard owns; the other shards run the same
-    // walk over their own nodes with identical keyed draws.
-    for (const Topology::Link& link : topology_->audible_from(src)) {
-      NodeId r = link.to;
-      if (!Owned(r)) continue;
-      if (!alive_[r]) continue;                            // Dead radios hear nothing.
-      double p = link.prob;
-      if (faulted) p *= fault_->Scale(src, r, end);
-      if (!LinkLossDraw(src, gen, r, p)) continue;         // Link loss.
-      if (WasTransmitting(r, start, end)) continue;        // Half duplex.
-      if (maybe_collided && Collided(r, src)) continue;    // Corrupted.
-      bool addressed = (dst == kBroadcastId) || (dst == r);
-      if (dst == r) dst_received = true;
-      if (ctr_deliveries_ != nullptr) ++*ctr_deliveries_;
-      // Trace addressed receptions only; snoops are counted, not traced.
-      if (trace_ != nullptr && addressed) {
-        trace_->Instant(end, "deliver", obs::TraceCat::kPacket, r, "src",
-                        static_cast<uint64_t>(src), "type",
-                        static_cast<uint64_t>(pkt.hdr.type));
-      }
-      if (deliver_hook_) deliver_hook_(r, pkt, addressed);
-    }
-    // The destination's shard resolves the ACK verdict (it alone knows the
-    // receiver's state) and reports it to the sender's completion.
-    if (dst != kBroadcastId && Owned(dst) && topology_->delivery_prob(src, dst) > 0) {
-      if (Owned(src)) {
-        acks_[TxKey(src, gen)] = dst_received;
-      } else if (ack_fn_) {
-        ack_fn_(src, gen, dst_received);
-      }
+  // Fault windows scale the per-link probability before the keyed draw;
+  // every shard applies the same factor at the same (src, gen, r), so the
+  // verdicts stay identical under any K-way partition. Evaluated at the
+  // transmission end (= delivery instant), matching Radio::FinishTx.
+  const fault::LinkFaultChannel* fault =
+      (fault_ != nullptr && fault_->ActiveAt(end)) ? fault_ : nullptr;
+  // The sender's audible out-neighbors in ascending id, delivering only to
+  // receivers this shard owns; the other shards run the same walk over
+  // their own nodes with identical keyed draws.
+  WalkFrame walk{src, dst, pkt.hdr.seq, start, end, wire_size};
+  bool dst_received = link_.Walk(
+      walk, fault, [this](NodeId r) { return Owned(r) && alive_[r]; },
+      [this, src, gen](NodeId r, double p) { return LinkLossDraw(src, gen, r, p); },
+      [&](NodeId r, const Reception& rx) {
+        if (ctr_deliveries_ != nullptr) ++*ctr_deliveries_;
+        // Trace addressed receptions only; snoops are counted, not traced.
+        if (trace_ != nullptr && rx.addressed) {
+          trace_->Instant(end, "deliver", obs::TraceCat::kPacket, r, "src",
+                          static_cast<uint64_t>(src), "type",
+                          static_cast<uint64_t>(pkt.hdr.type));
+        }
+        if (deliver_hook_) deliver_hook_(r, pkt, rx);
+      });
+  // The destination's shard resolves the ACK verdict (it alone knows the
+  // receiver's state) and reports it to the sender's completion.
+  if (dst != kBroadcastId && Owned(dst) && topology_->delivery_prob(src, dst) > 0) {
+    if (Owned(src)) {
+      acks_[TxKey(src, gen)] = dst_received;
+    } else if (ack_fn_) {
+      ack_fn_(src, gen, dst_received);
     }
   }
 }
@@ -578,9 +488,8 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
     auto ack_it = acks_.find(TxKey(src, gen));
     bool dst_received = ack_it != acks_.end() && ack_it->second;
     if (ack_it != acks_.end()) acks_.erase(ack_it);
-    double p_ack = std::pow(topology_->delivery_prob(dst, src),
-                            options_.ack_shortness_exponent);
-    if (fault_ != nullptr && fault_->active()) {
+    double p_ack = link_.AckProb(src, dst);
+    if (fault_ != nullptr) {
       p_ack *= fault_->Scale(dst, src, queue_->now());  // Reverse link.
     }
     bool acked = dst_received && AckDraw(src, gen, p_ack);
@@ -605,7 +514,7 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
     }
   }
 
-  PruneRing();
+  link_.Prune(queue_->now());
   TryStart(src);
 }
 
@@ -620,12 +529,11 @@ void ShardRadio::HandleAnnounce(NodeId src, uint32_t gen, SimTime start, SimTime
                  src, "gen", gen, "type",
                  static_cast<uint64_t>(pkt.hdr.type));
   }
-  node_tx_[src][1] = node_tx_[src][0];
-  node_tx_[src][0] = TxSpan{start, end};
+  link_.Record(src, start, end);
   active_tx_.Set(src);
-  InsertRing(Transmission{src, start, end});
   uint64_t key = TxKey(src, gen);
-  remote_tx_.emplace(key, RemoteTx{std::move(pkt), start, end});
+  int wire_size = pkt.WireSize();
+  remote_tx_.emplace(key, RemoteTx{std::move(pkt), start, end, wire_size});
   queue_->ScheduleEval(end, src, gen, [this, src, gen] { EvalRemote(src, gen); });
 }
 

@@ -32,7 +32,10 @@
 // floor: a frame heard about "now" cannot hit the air sooner), and all
 // random draws (backoff, per-link loss, ACK) are keyed on stable
 // identities (node, transmission generation, receiver) instead of pulled
-// from one shared stream whose consumption order would depend on K.
+// from one shared stream whose consumption order would depend on K. The
+// channel occupancy, per-frame collision verdicts, duplicate detection
+// and the delivery walk itself are the sequential Radio's, shared through
+// sim/link_layer.h: all O(N + links) state.
 #ifndef SCOOP_SIM_SHARD_H_
 #define SCOOP_SIM_SHARD_H_
 
@@ -54,6 +57,7 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
+#include "sim/link_layer.h"
 #include "sim/radio.h"
 #include "sim/radio_options.h"
 #include "sim/timer_wheel.h"
@@ -318,7 +322,8 @@ class ShardRadio {
     int retries_left = 0;
     int channel_attempts = 0;
     bool seq_assigned = false;
-    SimTime airtime = 0;
+    int wire_size = 0;    ///< Cached pkt.WireSize(), set at Send().
+    SimTime airtime = 0;  ///< Cached Airtime(wire_size).
   };
 
   struct PdesMac {
@@ -331,22 +336,12 @@ class ShardRadio {
     SimTime cca_at = 0;  ///< Scheduled sense time, for MacFloor cancellation.
   };
 
-  struct Transmission {
-    NodeId src = kInvalidNodeId;
-    SimTime start = 0;
-    SimTime end = 0;
-  };
-
-  struct TxSpan {
-    SimTime start = 0;
-    SimTime end = 0;
-  };
-
   /// A mirrored remote transmission awaiting its local evaluation.
   struct RemoteTx {
     Packet pkt;
     SimTime start = 0;
     SimTime end = 0;
+    int wire_size = 0;
   };
 
   static uint64_t TxKey(NodeId src, uint32_t gen) {
@@ -378,21 +373,12 @@ class ShardRadio {
   void EvalRemote(NodeId src, uint32_t gen);
   /// Shared reception computation for a (local or mirrored) transmission.
   void EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end, const Packet& pkt,
-              bool aborted);
+              int wire_size);
 
   /// Strict-visibility carrier sense: a span starting exactly `now` is
   /// invisible, so same-instant acquisitions never depend on cross-shard
   /// message timing (see file comment).
   bool ChannelBusy(NodeId node) const;
-  /// One ring walk per evaluation collecting the window's overlapping
-  /// transmitters; Collided then checks a receiver against that (usually
-  /// empty) list. Pure predicate split -- verdicts match the per-receiver
-  /// ring scan exactly (see Radio::CollectInterferers).
-  void CollectInterferers(NodeId sender, SimTime start, SimTime end);
-  bool Collided(NodeId receiver, NodeId sender) const;
-  bool WasTransmitting(NodeId node, SimTime start, SimTime end) const;
-  void InsertRing(Transmission tx);
-  void PruneRing();
 
   const Topology* topology_;
   RadioOptions options_;
@@ -408,20 +394,10 @@ class ShardRadio {
   std::vector<Rng> mac_rng_;  ///< Per-node backoff streams (owned nodes only).
   std::vector<bool> alive_;
 
-  // Channel state: identical shapes to Radio's, but covering this shard's
-  // transmissions plus mirrored boundary announcements.
-  const std::vector<InterfererSet>* interferers_ = nullptr;
-  std::vector<InterfererSet> own_interferers_;
+  /// Channel state as in Radio, but covering this shard's transmissions
+  /// plus mirrored boundary announcements.
+  LinkLayer link_;
   DynamicNodeBitmap active_tx_;
-  std::vector<std::array<TxSpan, 2>> node_tx_;
-  std::vector<Transmission> ring_;
-  size_t ring_head_ = 0;
-  SimTime max_airtime_ = 0;
-  /// Scratch for CollectInterferers (reused across evaluations).
-  std::vector<NodeId> collide_scratch_;
-  /// Squared distance beyond which a transmitter cannot corrupt any
-  /// reception of a sender's frame (see Radio's collide_range2_).
-  double collide_range2_ = 0;
 
   /// Per-target-shard armed carrier-sense times (min-heaps, indexed by
   /// target shard) and cancelled entries awaiting lazy annihilation

@@ -15,12 +15,12 @@
 // Every topology precomputes the neighborhood indexes the radio hot path
 // runs on: CSR-style audible-neighbor lists (per sender, the links with
 // p > 0 in ascending receiver order) and per-receiver interferer sets (the
-// senders loud enough to trigger carrier sense or corrupt a reception --
-// a sorted sparse list below the audible-density threshold, a bitmap
-// above it). A flat row-major delivery matrix backs O(1) delivery_prob()
-// lookups up to kDenseDeliveryMaxNodes; past that (10k-node benchmarks)
-// the matrix would dominate wall time and memory, so lookups fall back to
-// a binary search of the sender's CSR row.
+// senders loud enough to trigger carrier sense -- a sorted sparse list
+// below the audible-density threshold, a bitmap above it). All state is
+// O(N + links): a link's position in the CSR array is its index, which
+// the radios key per-link state on (sim/link_layer.h), and
+// delivery_prob() is a binary search of the sender's CSR row -- a cold-path
+// query, since the delivery walk reads probabilities off the row itself.
 #ifndef SCOOP_SIM_TOPOLOGY_H_
 #define SCOOP_SIM_TOPOLOGY_H_
 
@@ -118,11 +118,6 @@ class Topology {
   /// a different threshold rebuilds its own sets via BuildInterfererSets.
   static constexpr double kInterferenceThreshold = 0.05;
 
-  /// The flat row-major delivery matrix is materialized only up to this
-  /// many nodes (33 MB at the cap); larger topologies answer
-  /// delivery_prob() from the CSR rows.
-  static constexpr int kDenseDeliveryMaxNodes = 2048;
-
   /// Generates nodes uniformly in a rectangle. Guarantees the audible-link
   /// graph is connected (re-rolls shadowing with growing range if needed).
   static Topology MakeRandom(const RandomTopologyOptions& options);
@@ -159,30 +154,41 @@ class Topology {
   /// The basestation id (always 0 by convention).
   NodeId base_id() const { return 0; }
 
-  /// Delivery probability of a packet sent by `from` arriving at `to`.
-  /// O(1) from the dense matrix up to kDenseDeliveryMaxNodes, else a
-  /// binary search of `from`'s CSR row.
+  /// Delivery probability of a packet sent by `from` arriving at `to`
+  /// (0 if `to` cannot hear `from`). Binary search of `from`'s CSR row.
   double delivery_prob(NodeId from, NodeId to) const {
-    if (!delivery_.empty()) {
-      return delivery_[static_cast<size_t>(from) * positions_.size() + to];
-    }
+    int64_t link = LinkIndex(from, to);
+    return link < 0 ? 0.0 : out_links_[static_cast<size_t>(link)].prob;
+  }
+
+  /// Index of the link from -> to in the CSR link array, or -1 when `to`
+  /// cannot hear `from`. Binary search of `from`'s row.
+  int64_t LinkIndex(NodeId from, NodeId to) const {
     std::span<const Link> row = audible_from(from);
     auto it = std::lower_bound(row.begin(), row.end(), to,
                                [](const Link& l, NodeId t) { return l.to < t; });
-    return (it != row.end() && it->to == to) ? it->prob : 0.0;
+    if (it == row.end() || it->to != to) return -1;
+    return static_cast<int64_t>(out_offsets_[from] + (it - row.begin()));
   }
 
   /// The audible out-links of `from` (delivery probability > 0), in
   /// ascending receiver id -- the order the radio's delivery walk draws
-  /// its per-link Bernoullis in.
+  /// its per-link Bernoullis in. audible_from(from)[k] is link number
+  /// link_begin(from) + k.
   std::span<const Link> audible_from(NodeId from) const {
     return {out_links_.data() + out_offsets_[from],
             out_links_.data() + out_offsets_[static_cast<size_t>(from) + 1]};
   }
 
+  /// Index of `from`'s first out-link in the CSR link array.
+  uint32_t link_begin(NodeId from) const { return out_offsets_[from]; }
+
+  /// Number of audible directed links: the size of per-link state arrays.
+  size_t num_links() const { return out_links_.size(); }
+
   /// Senders whose delivery probability to `to` clears
   /// kInterferenceThreshold: the only nodes whose transmissions `to` can
-  /// carrier-sense or be corrupted by. Sparse-list form below the audible
+  /// carrier-sense (or be corrupted by). Sparse-list form below the audible
   /// density threshold, bitmap form above it (InterfererSet picks).
   const InterfererSet& interferers(NodeId to) const { return interferers_[to]; }
 
@@ -228,9 +234,6 @@ class Topology {
   static double NeighborFractionAt(const SparseLinks& links, int n, double threshold);
 
   std::vector<Point> positions_;
-  /// Flat row-major delivery matrix, num_nodes^2 entries; empty above
-  /// kDenseDeliveryMaxNodes (delivery_prob then searches the CSR).
-  std::vector<double> delivery_;
   /// CSR audible-neighbor index: node i's out-links are
   /// out_links_[out_offsets_[i] .. out_offsets_[i+1]).
   std::vector<uint32_t> out_offsets_;

@@ -77,8 +77,8 @@ TEST(MessageStatsMergeDriftTest, MergeFromCarriesEveryCounter) {
   source.OnTransmit(1, data, false);
   source.OnTransmit(1, data, true);  // Retransmission.
   source.OnTransmit(2, beacon, false);
-  source.OnDeliver(0, data, true);   // Addressed.
-  source.OnDeliver(2, data, false);  // Snooped.
+  source.OnDeliver(0, data, true, data.WireSize());  // Addressed.
+  source.OnDeliver(2, data, false, data.WireSize());  // Snooped.
   source.OnDrop(1, data);
 
   MessageStats target(kNodes);

@@ -22,8 +22,8 @@ TEST(MessageStatsTest, CountsByTypeAndNode) {
   stats.OnTransmit(1, data, false);
   stats.OnTransmit(1, data, true);
   stats.OnTransmit(2, MakePacket(2, 0, BeaconPayload{}), false);
-  stats.OnDeliver(3, data, true);
-  stats.OnDeliver(2, data, false);  // Snooped.
+  stats.OnDeliver(3, data, true, data.WireSize());
+  stats.OnDeliver(2, data, false, data.WireSize());  // Snooped.
   stats.OnDrop(1, data);
 
   const TypeCounters& d = stats.ByType(PacketType::kData);
@@ -48,8 +48,8 @@ TEST(MessageStatsTest, ByteAccounting) {
   Packet data = DataPacket(0);
   stats.OnTransmit(0, data, false);
   EXPECT_EQ(stats.BytesSentBy(0), static_cast<uint64_t>(data.WireSize()));
-  stats.OnDeliver(1, data, true);
-  stats.OnDeliver(1, data, false);
+  stats.OnDeliver(1, data, true, data.WireSize());
+  stats.OnDeliver(1, data, false, data.WireSize());
   EXPECT_EQ(stats.BytesReceivedBy(1), 2 * static_cast<uint64_t>(data.WireSize()));
 }
 

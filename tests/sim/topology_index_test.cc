@@ -1,7 +1,7 @@
 // Property tests for the topology's neighborhood indexes: the CSR
-// audible-neighbor lists and per-receiver interferer bitmaps must agree
-// exactly with the flat delivery matrix for every generator -- they are
-// the structures the radio hot path trusts instead of walking the matrix.
+// audible-neighbor lists, link indices and per-receiver interferer sets
+// must agree exactly with delivery_prob() for every generator -- they are
+// the structures the radio hot path trusts.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,7 +12,7 @@
 namespace scoop::sim {
 namespace {
 
-/// Checks every index invariant against the delivery matrix ground truth.
+/// Checks every index invariant against delivery_prob() over all pairs.
 void ExpectIndexesMatchMatrix(const Topology& topo) {
   int n = topo.num_nodes();
   for (int from = 0; from < n; ++from) {
@@ -105,6 +105,37 @@ TEST(TopologyIndexTest, GeneratorsScalePastTheWireFormatNodeCap) {
   Topology topo = Topology::MakeGrid(opts);
   EXPECT_EQ(topo.num_nodes(), 500);
   ExpectIndexesMatchMatrix(topo);
+}
+
+TEST(TopologyIndexTest, DeliveryProbIsTheCsrLinkOnLargeGrids) {
+  // delivery_prob() is a binary search of the sender's CSR row: it must
+  // return the row's probability for every link (and LinkIndex its CSR
+  // position) and 0 / -1 for every other pair.
+  for (int n : {1024, 4096}) {
+    GridTopologyOptions opts;
+    opts.num_nodes = n;
+    opts.seed = 11;
+    Topology topo = Topology::MakeGrid(opts);
+    ASSERT_EQ(topo.num_nodes(), n);
+    size_t links = 0;
+    for (NodeId from = 0; from < n; ++from) {
+      auto row = topo.audible_from(from);
+      links += row.size();
+      size_t cursor = 0;
+      for (NodeId to = 0; to < n; ++to) {
+        if (cursor < row.size() && row[cursor].to == to) {
+          ASSERT_EQ(topo.delivery_prob(from, to), row[cursor].prob);
+          ASSERT_EQ(topo.LinkIndex(from, to),
+                    static_cast<int64_t>(topo.link_begin(from) + cursor));
+          ++cursor;
+        } else {
+          ASSERT_EQ(topo.delivery_prob(from, to), 0.0) << from << "->" << to;
+          ASSERT_EQ(topo.LinkIndex(from, to), -1);
+        }
+      }
+    }
+    EXPECT_EQ(links, topo.num_links());
+  }
 }
 
 TEST(TopologyIndexTest, InterfererFormTracksAudibleDensity) {
