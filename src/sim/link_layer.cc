@@ -7,17 +7,8 @@
 
 namespace scoop::sim {
 
-LinkLayer::LinkLayer(const Topology* topology, const RadioOptions& options,
-                     SimTime max_airtime)
-    : topology_(topology),
-      interference_threshold_(options.interference_threshold),
-      capture_ratio_(options.capture_ratio),
-      model_collisions_(options.model_collisions),
-      max_airtime_(max_airtime),
-      node_tx_(static_cast<size_t>(topology->num_nodes())),
-      worst_(static_cast<size_t>(topology->num_nodes()), 0.0),
-      last_seq_(topology->num_links(), -1),
-      ack_prob_(topology->num_links(), 0.0) {
+LinkTable::LinkTable(const Topology* topology, const RadioOptions& options)
+    : topology_(topology), options_(options), ack_prob_(topology->num_links(), 0.0) {
   // The topology precomputes interferer sets at its default threshold; a
   // radio configured with a different threshold builds matching sets once
   // here. Either way carrier sense reads one resolved pointer.
@@ -48,6 +39,19 @@ LinkLayer::LinkLayer(const Topology* topology, const RadioOptions& options,
   }
   collide_range2_ = 4.0 * max_d2;  // (2 * max audible distance)^2.
 }
+
+LinkLayer::LinkLayer(const LinkTable* table, SimTime max_airtime)
+    : table_(table),
+      topology_(table_->topology()),
+      interferers_(&table_->interferer_sets()),
+      interference_threshold_(table_->options().interference_threshold),
+      capture_ratio_(table_->options().capture_ratio),
+      model_collisions_(table_->options().model_collisions),
+      max_airtime_(max_airtime),
+      collide_range2_(table_->collide_range2()),
+      node_tx_(static_cast<size_t>(topology_->num_nodes())),
+      worst_(static_cast<size_t>(topology_->num_nodes()), 0.0),
+      last_seq_(topology_->num_links(), -1) {}
 
 void LinkLayer::Record(NodeId src, SimTime start, SimTime end) {
   std::array<TxSpan, 2>& spans = node_tx_[src];

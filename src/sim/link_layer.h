@@ -1,9 +1,12 @@
 // Channel and link-layer state shared by both radio engines (Radio and
 // ShardRadio): the recent-transmissions ring, each node's last two
 // transmission spans, the per-frame collision verdicts, and per-link
-// duplicate-detection and ACK-probability state, plus the delivery walk
-// that runs on them. The engines differ only in what they plug into the
-// walk: which receivers they own and how they draw link loss.
+// duplicate-detection state, plus the delivery walk that runs on them. The
+// engines differ only in what they plug into the walk: which receivers
+// they own and how they draw link loss. What never changes during a run
+// (interferer sets, per-link ACK probabilities, the collision prefilter
+// range) lives in a LinkTable built once and shared read-only -- by the
+// sharded engine's K shards alike.
 //
 // Everything is O(N + links). Per-link state is keyed by the link's index
 // in the topology's CSR array, so the walk reaches it with no lookup: the
@@ -61,6 +64,40 @@ struct WalkFrame {
   int wire_size = 0;
 };
 
+/// Read-only per-run link tables, derived from the topology and the radio
+/// options alone: built once by the engine, then read by every LinkLayer
+/// of the run (one per radio, K in the sharded engine).
+class LinkTable {
+ public:
+  LinkTable(const Topology* topology, const RadioOptions& options);
+
+  LinkTable(const LinkTable&) = delete;
+  LinkTable& operator=(const LinkTable&) = delete;
+
+  const Topology* topology() const { return topology_; }
+  const RadioOptions& options() const { return options_; }
+
+  /// Per-receiver interferer sets at the radio's threshold: the topology's
+  /// precomputed sets when the thresholds match, else built here.
+  const std::vector<InterfererSet>& interferer_sets() const { return *interferers_; }
+
+  /// ACK delivery probability of link `link` (src -> dst):
+  /// p(dst -> src) ^ ack_shortness_exponent.
+  double ack_prob(uint32_t link) const { return ack_prob_[link]; }
+
+  /// Squared distance beyond which a transmitter cannot corrupt any
+  /// reception of a sender's frame (twice the longest audible link).
+  double collide_range2() const { return collide_range2_; }
+
+ private:
+  const Topology* topology_;
+  RadioOptions options_;
+  const std::vector<InterfererSet>* interferers_ = nullptr;
+  std::vector<InterfererSet> own_interferers_;
+  std::vector<double> ack_prob_;
+  double collide_range2_ = 0;
+};
+
 class LinkLayer {
  public:
   /// A node's transmission interval.
@@ -69,9 +106,11 @@ class LinkLayer {
     SimTime end = 0;
   };
 
-  /// `max_airtime` is the airtime of a maximum-size frame: the ring's
-  /// overlap and pruning horizon.
-  LinkLayer(const Topology* topology, const RadioOptions& options, SimTime max_airtime);
+  /// `table` supplies the topology, the radio options and the read-only
+  /// per-link tables, and must outlive the layer; `max_airtime` is the
+  /// airtime of a maximum-size frame: the ring's overlap and pruning
+  /// horizon.
+  LinkLayer(const LinkTable* table, SimTime max_airtime);
 
   LinkLayer(const LinkLayer&) = delete;
   LinkLayer& operator=(const LinkLayer&) = delete;
@@ -144,7 +183,7 @@ class LinkLayer {
   /// `dst` cannot hear `src` (no frame reaches it, so no ACK is drawn).
   double AckProb(NodeId src, NodeId dst) const {
     int64_t link = topology_->LinkIndex(src, dst);
-    return link < 0 ? 0.0 : ack_prob_[static_cast<size_t>(link)];
+    return link < 0 ? 0.0 : table_->ack_prob(static_cast<uint32_t>(link));
   }
 
   // --- The delivery walk ---
@@ -191,16 +230,14 @@ class LinkLayer {
   void Stamp();
   void ClearStamps();
 
+  const LinkTable* table_;
   const Topology* topology_;
+  const std::vector<InterfererSet>* interferers_;  ///< table_->interferer_sets().
   double interference_threshold_;
   double capture_ratio_;
   bool model_collisions_;
   SimTime max_airtime_;
-
-  /// Per-receiver interferer sets: the topology's precomputed sets when
-  /// the radio's threshold matches theirs, else own_interferers_.
-  const std::vector<InterfererSet>* interferers_ = nullptr;
-  std::vector<InterfererSet> own_interferers_;
+  double collide_range2_;  ///< table_->collide_range2().
 
   std::vector<std::array<TxSpan, 2>> node_tx_;
   /// Recent + active transmissions in start order; overlap queries walk
@@ -208,9 +245,6 @@ class LinkLayer {
   /// airtime before the window.
   std::vector<Transmission> ring_;
   size_t ring_head_ = 0;  ///< First live ring entry (amortized pruning).
-  /// Squared distance beyond which a transmitter cannot corrupt any
-  /// reception of a sender's frame (twice the longest audible link).
-  double collide_range2_ = 0;
 
   std::vector<NodeId> candidates_;
   /// Loudest stamped interference per receiver; 0 = none. Only the
@@ -219,7 +253,6 @@ class LinkLayer {
   bool stamped_ = false;
 
   std::vector<int32_t> last_seq_;  ///< Per link; -1 = nothing heard yet.
-  std::vector<double> ack_prob_;   ///< Per link src -> dst: p(dst -> src)^exp.
 };
 
 }  // namespace scoop::sim

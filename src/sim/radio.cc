@@ -13,7 +13,8 @@ Radio::Radio(const Topology* topology, const RadioOptions& options, EventQueue* 
       rng_(MixSeed(seed, /*entity_id=*/0xAD10), /*stream=*/0xAD10),
       mac_(static_cast<size_t>(topology->num_nodes())),
       alive_(static_cast<size_t>(topology->num_nodes()), true),
-      link_(topology, options, Airtime(options.max_packet_bytes)),
+      links_(topology, options),
+      link_(&links_, Airtime(options.max_packet_bytes)),
       active_tx_(topology->num_nodes()) {
   SCOOP_CHECK(queue != nullptr);
 }

@@ -151,7 +151,9 @@ class Radio {
   std::vector<MacState> mac_;
   std::vector<bool> alive_;
 
-  /// Channel occupancy, collision verdicts and per-link state.
+  /// Read-only per-link tables, then channel occupancy, collision
+  /// verdicts and per-link state over them.
+  LinkTable links_;
   LinkLayer link_;
   /// Nodes with a transmission currently on the air.
   DynamicNodeBitmap active_tx_;

@@ -155,27 +155,26 @@ bool ShardQueue::RunOne() {
 // ShardRadio
 // ---------------------------------------------------------------------------
 
-ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
-                       ShardQueue* queue, uint64_t seed,
+ShardRadio::ShardRadio(const LinkTable* links, ShardQueue* queue, uint64_t seed,
                        const std::vector<int>* owner, int self_shard)
-    : topology_(topology),
-      options_(options),
+    : topology_(links->topology()),
+      options_(links->options()),
       queue_(queue),
       owner_(owner),
       self_shard_(self_shard),
       link_key_(MixSeed(seed, /*entity_id=*/0x117C)),
       ack_key_(MixSeed(seed, /*entity_id=*/0xACDC)),
-      mac_(static_cast<size_t>(topology->num_nodes())),
-      alive_(static_cast<size_t>(topology->num_nodes()), true),
-      link_(topology, options, Airtime(options.max_packet_bytes)),
-      active_tx_(topology->num_nodes()) {
+      mac_(static_cast<size_t>(topology_->num_nodes())),
+      alive_(static_cast<size_t>(topology_->num_nodes()), true),
+      link_(links, Airtime(options_.max_packet_bytes)),
+      active_tx_(topology_->num_nodes()) {
   SCOOP_CHECK(queue != nullptr);
   SCOOP_CHECK(owner != nullptr);
   // Per-node backoff streams: draws depend only on the node's own attempt
   // sequence, which is identical for every partitioning.
   uint64_t backoff_key = MixSeed(seed, /*entity_id=*/0xAD10);
   mac_rng_.reserve(mac_.size());
-  for (NodeId u = 0; u < topology->num_nodes(); ++u) {
+  for (NodeId u = 0; u < topology_->num_nodes(); ++u) {
     mac_rng_.emplace_back(MixSeed(backoff_key, u), /*stream=*/u);
   }
 }

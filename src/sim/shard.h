@@ -241,11 +241,14 @@ class ShardRadio {
   using AbortFn = SmallFunction<void(NodeId src, uint32_t gen)>;
   using AckFn = SmallFunction<void(NodeId src, uint32_t gen, bool received)>;
 
-  /// `owner` maps every node to its shard index; `self_shard` is this
-  /// radio's shard. Only nodes with owner == self_shard transmit here;
-  /// other nodes exist as mirrored channel state.
-  ShardRadio(const Topology* topology, const RadioOptions& options, ShardQueue* queue,
-             uint64_t seed, const std::vector<int>* owner, int self_shard);
+  /// `links` carries the topology and radio options with the run's
+  /// read-only link tables, one copy shared by every shard. `owner` maps
+  /// every node to its shard index; both must outlive the radio.
+  /// `self_shard` is this radio's shard. Only nodes with owner ==
+  /// self_shard transmit here; other nodes exist as mirrored channel
+  /// state.
+  ShardRadio(const LinkTable* links, ShardQueue* queue, uint64_t seed,
+             const std::vector<int>* owner, int self_shard);
 
   ShardRadio(const ShardRadio&) = delete;
   ShardRadio& operator=(const ShardRadio&) = delete;

@@ -93,6 +93,12 @@ struct ShardedEngine::Shard {
   uint64_t in_mask = 0;     ///< Shards whose EPT bounds our safe time.
   uint64_t out_mask = 0;    ///< Shards our promises must cover.
   uint64_t drain_mask = 0;  ///< Shards that may push into our mailboxes.
+  /// Drain's swap partner: a drained mailbox gets this (cleared) buffer
+  /// back, so neither side reallocates on the next push.
+  std::vector<ShardMsg> inbox;
+  /// The `min(head, safe)` base of our last promise publish; the batch
+  /// republishes as soon as the queue head passes it.
+  SimTime published_base = 0;
   /// Always-on perf telemetry (like ShardQueue::processed()): wall time
   /// spent spinning with no executable event, and how many distinct
   /// no-progress episodes occurred. Wall-clock-derived, NOT deterministic.
@@ -144,7 +150,7 @@ EventId ShardedEngine::Host::Schedule(SimTime delay, SmallCallback fn) {
 void ShardedEngine::Host::Cancel(EventId id) { shard_->queue.Cancel(id); }
 
 ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
-    : topology_(std::move(topology)), options_(options) {
+    : topology_(std::move(topology)), options_(options), links_(&topology_, options_.radio) {
   SCOOP_CHECK_GE(options_.shards, 1);
   SCOOP_CHECK_LE(options_.shards, 64);  // Shard sets travel as uint64_t masks.
   num_shards_ = options_.shards;
@@ -194,8 +200,7 @@ ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
     sh->out_mask = out_mask[s];
     // ACK verdicts flow opposite to announces, so drain both directions.
     sh->drain_mask = in_mask[s] | out_mask[s];
-    sh->radio = std::make_unique<ShardRadio>(&topology_, options_.radio, &sh->queue,
-                                             options_.seed, &owner_, s);
+    sh->radio = std::make_unique<ShardRadio>(&links_, &sh->queue, options_.seed, &owner_, s);
     sh->radio->SetAnnounceTargets(&announce_mask_, num_shards_);
     sh->hosts.resize(static_cast<size_t>(n));
     for (NodeId id = 0; id < n; ++id) {
@@ -242,6 +247,7 @@ ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
         msg.kind = ShardMsg::Kind::kAbort;
         msg.src = src;
         msg.gen = gen;
+        msg.start = sh->queue.now();
         Push(sh->index, to, std::move(msg));
       }
     });
@@ -447,6 +453,16 @@ uint64_t ShardedEngine::mirrored_frames() const {
 }
 
 void ShardedEngine::Push(int from, int to, ShardMsg msg) {
+  // The sync contract, checked on every announce and abort: nothing is
+  // sent earlier than the sender's standing promise to the receiver, which
+  // may already have executed past it. Only `from`'s thread (this one)
+  // writes the cell, so a relaxed load sees its latest value. ACK verdicts
+  // need no coverage (see sharded_engine.h).
+  if (msg.kind != ShardMsg::Kind::kAck) {
+    SCOOP_CHECK_GE(msg.start,
+                   ept_[static_cast<size_t>(from) * num_shards_ + to].load(
+                       std::memory_order_relaxed));
+  }
   Mailbox& box = mail_[static_cast<size_t>(to) * num_shards_ + from];
   std::lock_guard<std::mutex> lock(box.mu);
   box.msgs.push_back(std::move(msg));
@@ -471,7 +487,7 @@ void ShardedEngine::Drain(Shard* shard) {
     int from = std::countr_zero(mask);
     mask &= mask - 1;
     Mailbox& box = mail_[static_cast<size_t>(shard->index) * num_shards_ + from];
-    std::vector<ShardMsg> msgs;
+    std::vector<ShardMsg>& msgs = shard->inbox;
     {
       std::lock_guard<std::mutex> lock(box.mu);
       msgs.swap(box.msgs);
@@ -489,15 +505,14 @@ void ShardedEngine::Drain(Shard* shard) {
           break;
       }
     }
+    msgs.clear();
   }
 }
 
-bool ShardedEngine::ExecuteUpTo(Shard* shard, SimTime limit) {
+bool ShardedEngine::ExecuteUpTo(Shard* shard, SimTime limit, SimTime safe) {
   obs::ScopedBucket bucket(shard->profiler, obs::SimProfiler::kQueue);
   bool progress = false;
-  for (;;) {
-    SimTime head = shard->queue.HeadTime();
-    if (head > limit) break;
+  for (SimTime head = shard->queue.HeadTime(); head <= limit;) {
     if (shard->sample_reg != nullptr) {
       // Sample right before the first event past each grid point, i.e.
       // with exactly the events at or before it executed -- a point in
@@ -520,14 +535,23 @@ bool ShardedEngine::ExecuteUpTo(Shard* shard, SimTime limit) {
     }
     shard->queue.RunOne();
     progress = true;
+    head = shard->queue.HeadTime();
+    // Our promises rise as the head advances: hand them to the neighbors
+    // now, so they overlap their windows with the rest of this batch
+    // rather than wait for its end. Once per head advance; a floor raised
+    // within one instant (a fault action passing the AliveFloor, a
+    // cancelled carrier sense) rides along with the next publish.
+    if (shard->out_mask != 0 && std::min(head, safe) > shard->published_base) {
+      obs::ScopedBucket sync(shard->profiler, obs::SimProfiler::kShardSync);
+      PublishEpt(shard, safe, head);
+    }
   }
   return progress;
 }
 
-void ShardedEngine::PublishEpt(Shard* shard, SimTime safe) {
+void ShardedEngine::PublishEpt(Shard* shard, SimTime safe, SimTime head) {
   if (shard->out_mask == 0) return;  // Nobody reads our promises.
   SimTime clock = shard->queue.now();
-  SimTime head = shard->queue.HeadTime();
   const bool head_past_clock = head > clock;
   SimTime alive = shard->AliveFloor();
   // Any transmission this shard has not yet committed to must still clear
@@ -538,6 +562,7 @@ void ShardedEngine::PublishEpt(Shard* shard, SimTime safe) {
   // end until its completion runs, and its successor starts >= end +
   // backoff_min, so in-flight transmit ends need no floor entry at all.
   SimTime base = std::min(head, safe);
+  shard->published_base = base;
   SimTime lookahead = base >= kSimTimeHorizon - options_.radio.backoff_min
                           ? kSimTimeHorizon
                           : base + options_.radio.backoff_min;
@@ -592,10 +617,10 @@ void ShardedEngine::RunShard(Shard* shard, SimTime end) {
       safe = SafeTime(*shard);  // Acquire EPTs BEFORE draining, so
       Drain(shard);             // every message behind them is seen.
     }
-    bool progress = ExecuteUpTo(shard, std::min(safe, end));
+    bool progress = ExecuteUpTo(shard, std::min(safe, end), safe);
     obs::ScopedBucket sync(shard->profiler, obs::SimProfiler::kShardSync);
     SimTime head = shard->queue.HeadTime();
-    PublishEpt(shard, safe);
+    PublishEpt(shard, safe, head);
     if (stall_ns > 0 && progress) {
       uint64_t us = static_cast<uint64_t>(stall_ns / 1000);
       stall_ns = 0;

@@ -25,15 +25,19 @@
 //               >= end + backoff_min).
 //
 // A shard may execute every event with time <= min over its in-neighbor
-// shards' promises to it (its safe time). Publishing is monotone (a
-// promise never retreats), producers push a mailbox message BEFORE
-// bumping their EPT (release), and consumers load EPTs (acquire) BEFORE
-// draining, so every message that can affect an executable event is
-// visible before the event runs. Unicast ACK verdicts cross shards too: a
-// completion whose remote verdict is missing simply stalls at the queue
-// head (its own EPT keeps covering it) until the destination shard's
-// evaluation reports back -- which is also why a verdict's emission time
-// needs no promise coverage of its own.
+// shards' promises to it (its safe time). Every floor is read from current
+// state, so a promise is valid between any two events: a shard republishes
+// whenever an executed event moves its queue head on, not just once per
+// batch, and its neighbors overlap their windows with the rest of its
+// batch. Publishing is monotone (a promise never retreats), producers push
+// a mailbox message BEFORE bumping their EPT (release), and consumers load
+// EPTs (acquire) BEFORE draining, so every message that can affect an
+// executable event is visible before the event runs. Push checks every
+// announce and abort against the sender's standing promise, always on.
+// Unicast ACK verdicts cross shards too: a completion whose remote verdict
+// is missing simply stalls at the queue head (its own EPT keeps covering
+// it) until the destination shard's evaluation reports back -- which is
+// also why a verdict's emission time needs no promise coverage of its own.
 //
 // Partitioning (sim/partition.h) slices the topology into K parts:
 // contiguous coordinate strips, or min-cut regions grown on the audible
@@ -63,7 +67,7 @@ struct ShardMsg {
   Kind kind = Kind::kAnnounce;
   NodeId src = kInvalidNodeId;  ///< Transmitting node.
   uint32_t gen = 0;             ///< Its transmission generation.
-  SimTime start = 0;
+  SimTime start = 0;  ///< kAnnounce: frame start; kAbort: its send time.
   SimTime end = 0;
   bool received = false;  ///< kAck: destination latched the frame.
   Packet pkt;             ///< kAnnounce only.
@@ -213,13 +217,14 @@ class ShardedEngine {
 
   SimTime SafeTime(const Shard& shard) const;
   void Drain(Shard* shard);
-  void PublishEpt(Shard* shard, SimTime safe);
-  bool ExecuteUpTo(Shard* shard, SimTime limit);
+  void PublishEpt(Shard* shard, SimTime safe, SimTime head);
+  bool ExecuteUpTo(Shard* shard, SimTime limit, SimTime safe);
   void RunShard(Shard* shard, SimTime end);
   void Push(int from, int to, ShardMsg msg);
 
   Topology topology_;
   ShardedEngineOptions options_;
+  LinkTable links_;  ///< One read-only copy for all shards' radios.
   int num_shards_;
   std::vector<int> owner_;
   /// Per-node bitmask of shards (other than the owner) that must mirror

@@ -87,7 +87,8 @@ Topology Grid(uint64_t seed, int n) {
 void ExpectStampMatchesOracle(const Topology& topo, const RadioOptions& opts,
                               uint64_t seed) {
   constexpr SimTime kMaxAirtime = 1000;
-  LinkLayer link(&topo, opts, kMaxAirtime);
+  LinkTable table(&topo, opts);
+  LinkLayer link(&table, kMaxAirtime);
   Rng rng(seed, 0x57A3);
   int n = topo.num_nodes();
   std::vector<Tx> on_air;
@@ -170,7 +171,8 @@ TEST(LinkLayerTest, CaptureRatioTieCorrupts) {
     std::vector<std::vector<double>> m = {
         {0, 0, 0.8}, {0, 0, interference}, {0, 0, 0}};
     Topology topo = Topology::FromMatrix({{0, 0}, {1, 0}, {2, 0}}, m);
-    LinkLayer link(&topo, RadioOptions{}, 1000);
+    LinkTable table(&topo, RadioOptions{});
+    LinkLayer link(&table, 1000);
     link.Record(0, 0, 500);
     link.Record(1, 100, 600);
     link.CollectInterferers(0, 0, 500);
@@ -184,7 +186,8 @@ TEST(LinkLayerTest, CandidateReceiverIsCorruptedOnlyByOthers) {
   std::vector<std::vector<double>> m = {
       {0, 0.5, 0}, {0, 0, 0}, {0, 0.5, 0}};
   Topology topo = Topology::FromMatrix({{0, 0}, {1, 0}, {2, 0}}, m);
-  LinkLayer link(&topo, RadioOptions{}, 1000);
+  LinkTable table(&topo, RadioOptions{});
+  LinkLayer link(&table, 1000);
   link.Record(0, 0, 500);
   link.Record(1, 100, 600);
   link.CollectInterferers(0, 0, 500);

@@ -11,6 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_plan.h"
+#include "obs/metrics.h"
+
 namespace scoop::sim {
 namespace {
 
@@ -56,6 +59,12 @@ class ChatterApp : public App {
     log_->push_back("done t=" + std::to_string(ctx.now()) +
                     " seq=" + std::to_string(pkt.hdr.seq) +
                     " ok=" + std::to_string(success));
+  }
+
+  void OnCrash(Context& ctx) override { log_->push_back("crash t=" + std::to_string(ctx.now())); }
+
+  void OnReboot(Context& ctx) override {
+    log_->push_back("reboot t=" + std::to_string(ctx.now()));
   }
 
  private:
@@ -230,6 +239,90 @@ TEST(ShardedEngineTest, MoreShardsThanNodes) {
     return std::make_unique<ChatterApp>(log, 5, Millis(250), id == 0 ? NodeId{1} : kInvalidNodeId);
   };
   ExpectShardInvariant(topo, install, {}, Seconds(4), {2, 8, 64});
+}
+
+/// One leg of the crash/reboot grid run: per-node logs plus the aborts the
+/// shards received (boundary frames revoked by a power-down mid-air).
+struct ChurnRun {
+  std::vector<NodeLog> logs;
+  uint64_t aborts = 0;
+};
+
+ChurnRun RunChurnGrid(int k, PartitionKind partition, const Topology& topo,
+                      const fault::FaultPlan& plan, SimTime until) {
+  ShardedEngineOptions opts;
+  opts.seed = 11;
+  opts.shards = k;
+  opts.partition = partition;
+  ShardedEngine engine(topo, opts);
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics;
+  for (int s = 0; s < k; ++s) {
+    metrics.push_back(std::make_unique<obs::MetricsRegistry>());
+    engine.EnableObservability(s, nullptr, metrics.back().get(), nullptr);
+  }
+  ChurnRun run;
+  run.logs.resize(static_cast<size_t>(topo.num_nodes()));
+  for (NodeId id = 0; id < topo.num_nodes(); ++id) {
+    // Every third node unicasts to its first audible neighbor, the rest
+    // broadcast; staggered periods keep the senders out of lockstep.
+    NodeId to = id % 3 == 0 ? topo.audible_from(id).front().to : kInvalidNodeId;
+    engine.SetApp(id, std::make_unique<ChatterApp>(&run.logs[id], 40,
+                                                   Millis(150) + (id % 7) * Millis(11), to));
+  }
+  for (const fault::FaultEvent& ev : plan.events) {
+    engine.ScheduleFault(ev.at, ev.node, [&engine, ev] {
+      bool up = ev.kind == fault::FaultKind::kReboot;
+      engine.FaultSetAlive(ev.node, up);
+      if (up) {
+        engine.FaultReboot(ev.node);
+      } else {
+        engine.FaultCrash(ev.node);
+      }
+    });
+  }
+  engine.Start();
+  engine.RunUntil(until);
+  for (const auto& m : metrics) run.aborts += m->CounterValue("shard.abort_rx");
+  return run;
+}
+
+TEST(ShardedEngineTest, CrashRebootGridIdenticalAcrossShardCountsAndPartitions) {
+  // Dense crash/reboot waves over a 400-node grid under steady traffic:
+  // power-downs revoke boundary frames mid-air (aborts) and move the
+  // AliveFloor of every shard while its neighbors run concurrent windows.
+  // Every K and both partitioners must reproduce the K=1 logs exactly.
+  GridTopologyOptions grid;
+  grid.num_nodes = 400;
+  grid.seed = 3;
+  Topology topo = Topology::MakeGrid(grid);
+  fault::FaultConfig config;
+  config.reboot_fraction = 0.3;
+  config.reboot_time = Seconds(3);
+  config.reboot_wave_count = 12;
+  config.reboot_wave_interval = Millis(250);
+  config.reboot_downtime = Millis(400);
+  fault::FaultPlan plan =
+      fault::BuildFaultPlan(config, fault::LegacyCrashWaves{}, topo, topo.num_nodes(), 5);
+  ASSERT_GE(plan.events.size(), 500u);
+  const SimTime until = Seconds(7);
+  ChurnRun ref = RunChurnGrid(1, PartitionKind::kStrip, topo, plan, until);
+  size_t crashes = 0;
+  for (const NodeLog& log : ref.logs) {
+    for (const std::string& line : log) crashes += line.rfind("crash", 0) == 0;
+  }
+  EXPECT_GT(crashes, 250u) << "the fault plan never reached the apps";
+  for (PartitionKind partition : {PartitionKind::kStrip, PartitionKind::kMincut}) {
+    for (int k : {2, 4, 8}) {
+      SCOPED_TRACE("shards=" + std::to_string(k) + " partition=" +
+                   (partition == PartitionKind::kStrip ? "strip" : "mincut"));
+      ChurnRun got = RunChurnGrid(k, partition, topo, plan, until);
+      EXPECT_GT(got.aborts, 0u) << "no boundary frame was revoked; test is vacuous";
+      ASSERT_EQ(ref.logs.size(), got.logs.size());
+      for (size_t i = 0; i < ref.logs.size(); ++i) {
+        EXPECT_EQ(ref.logs[i], got.logs[i]) << "node " << i;
+      }
+    }
+  }
 }
 
 TEST(ShardedEngineTest, ShardOfCoversAllNodesContiguously) {
